@@ -42,6 +42,12 @@ var hotAllocDefaultFunctions = map[string][]string{
 	"internal/core": {
 		"bound", "boundChild", "beginExpand", "commitLevel", "sweepInto",
 		"coneFor", "restFor", "alloc", "materialize", "tasks", "insertChildren",
+		// The expander, the one expansion path every driver runs. Its
+		// reference-kernel seams (load, newVertex) stay out: their naive
+		// branch allocates by design, and their optimized branch is
+		// materialize or alloc above.
+		"expand", "moves", "begin", "place", "duplicate", "store", "emit",
+		"orderChildren",
 	},
 }
 

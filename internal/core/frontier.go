@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/edf"
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
@@ -73,17 +72,9 @@ func EnumerateFrontier(g *taskgraph.Graph, plat platform.Platform, p Params, tar
 	if target < 1 {
 		return Frontier{}, fmt.Errorf("core: frontier target %d < 1", target)
 	}
-	if err := p.Validate(); err != nil {
+	inc, err := prepare(g, plat, p)
+	if err != nil {
 		return Frontier{}, err
-	}
-	if err := plat.Validate(); err != nil {
-		return Frontier{}, err
-	}
-	if _, err := g.TopoOrder(); err != nil {
-		return Frontier{}, err
-	}
-	if g.NumTasks() == 0 {
-		return Frontier{}, fmt.Errorf("core: empty task graph")
 	}
 	if p.Prefix != nil || p.Link != nil || p.Observer != nil {
 		return Frontier{}, fmt.Errorf("core: frontier expansion does not support Prefix, Link or Observer")
@@ -95,98 +86,37 @@ func EnumerateFrontier(g *taskgraph.Graph, plat platform.Platform, p Params, tar
 		return Frontier{}, fmt.Errorf("core: MAXSZAS/MAXSZDB are not supported by frontier expansion")
 	}
 
-	f := Frontier{BestCost: taskgraph.Infinity}
-	switch p.UpperBound {
-	case UpperBoundEDF:
-		cost, schedule, err := edf.UpperBound(g, plat)
-		if err != nil {
-			return Frontier{}, err
-		}
-		f.BestCost, f.Seed = cost, schedule
-	case UpperBoundFixed:
-		f.BestCost = p.FixedUpperBound
-	case UpperBoundSeeded:
-		seed := p.SeedSchedule
-		if !seed.Complete() || seed.Graph != g {
-			return Frontier{}, fmt.Errorf("core: seed schedule incomplete or over a different graph")
-		}
-		if err := seed.Check(); err != nil {
-			return Frontier{}, fmt.Errorf("core: invalid seed schedule: %w", err)
-		}
-		f.BestCost, f.Seed = seed.Lmax(), seed
-	}
-
-	var (
-		st       = sched.NewState(g, plat)
-		bnd      = newBounder(g, p.Bound)
-		br       = newBrancher(g, p.Branching)
-		n        = int32(g.NumTasks())
-		queue    = []*vertex{{lb: taskgraph.MinTime, task: taskgraph.NoTask, proc: platform.NoProc}}
-		plBuf    []sched.Placement
-		readyBuf []taskgraph.TaskID
-		seq      uint64
-	)
-	limit := func() taskgraph.Time { return pruneLimitFor(f.BestCost, p.BR) }
+	// The expansion never dedups (no table, whatever p.Dedup says): every
+	// child it discards is discarded by a bound, as the partition needs.
+	x := newExpander(g, plat, p, nil, &inc)
+	queue := []*vertex{prefixChain(nil)}
 
 	// The root is always expanded (even when target == 1) so every emitted
 	// slice carries a non-empty prefix — a slice must be a strict subtree.
-	for len(queue) > 0 && (len(queue) < target || f.Stats.Expanded == 0) {
+	for len(queue) > 0 && (len(queue) < target || x.stats.Expanded == 0) {
 		v := queue[0]
 		queue = queue[1:]
-		if v.lb >= limit() {
-			f.Stats.PrunedActive++
+		if v.lb >= inc.pruneLimit() {
+			x.stats.PrunedActive++
 			continue
 		}
-		plBuf = v.placements(plBuf[:0])
-		if err := st.Replay(plBuf); err != nil {
-			return Frontier{}, fmt.Errorf("core: frontier replay: %w", err)
-		}
-		f.Stats.Expanded++
-
-		readyBuf = br.tasks(st, readyBuf[:0])
-		for _, id := range readyBuf {
-			for q := 0; q < plat.M; q++ {
-				if !plat.Allows(id, platform.Proc(q)) {
-					continue
-				}
-				pl := st.Place(id, platform.Proc(q))
-				lb := bnd.bound(st)
-				f.Stats.Generated++
-				seq++
-
-				switch {
-				case v.level+1 == n:
-					f.Stats.Goals++
-					if lb < f.BestCost {
-						f.BestCost = lb
-						f.BestSeq = st.AppendPlacements(f.BestSeq[:0])
-						f.Stats.IncumbentUpdates++
-					}
-				case lb >= limit():
-					f.Stats.PrunedChildren++
-				default:
-					queue = append(queue, &vertex{
-						parent: v, lb: lb, start: pl.Start, finish: pl.Finish,
-						seq: seq, task: id, proc: platform.Proc(q), level: v.level + 1,
-					})
-				}
-				st.Undo()
-			}
-		}
-		if len(queue) > f.Stats.MaxActiveSet {
-			f.Stats.MaxActiveSet = len(queue)
+		queue = append(queue, x.expand(v)...)
+		if len(queue) > x.stats.MaxActiveSet {
+			x.stats.MaxActiveSet = len(queue)
 		}
 	}
 
 	// Emit the survivors; vertices inserted before the incumbent improved
 	// are discarded here, exactly like the solver's lazy selection prune.
+	f := Frontier{BestCost: inc.cost, BestSeq: inc.seq, Seed: inc.seed}
 	for _, v := range queue {
-		if v.lb >= limit() {
-			f.Stats.PrunedActive++
+		if v.lb >= inc.pruneLimit() {
+			x.stats.PrunedActive++
 			continue
 		}
 		f.Slices = append(f.Slices, FrontierSlice{Prefix: v.placements(nil), LB: v.lb})
 	}
+	f.Stats = x.stats
 	f.Exhausted = len(f.Slices) == 0
 	return f, nil
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/deadline"
@@ -301,4 +303,37 @@ func kernelGraph(tb testing.TB, n, depth int, seed int64) *taskgraph.Graph {
 		tb.Fatal(err)
 	}
 	return g
+}
+
+// TestFrontierKernelDifferential: EnumerateFrontier honours
+// ReferenceKernel like the other drivers, and the two kernels must cut the
+// same frontier — same slices, same incumbent, same Stats.
+func TestFrontierKernelDifferential(t *testing.T) {
+	combos := []Params{{}, {Selection: SelectLLB}, {Bound: BoundLB0}, {Branching: BranchDF}, {BR: 0.25}}
+	for gi, g := range paperWorkloads(t, 3, 777) {
+		plat := platform.New(3)
+		for _, p := range combos {
+			for _, target := range []int{1, 4, 16} {
+				opt, err := EnumerateFrontier(g, plat, p, target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pr := p
+				pr.ReferenceKernel = true
+				ref, err := EnumerateFrontier(g, plat, pr, target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				where := func() string { return fmt.Sprintf("graph %d %v target %d", gi, p, target) }
+				if opt.BestCost != ref.BestCost || opt.Exhausted != ref.Exhausted ||
+					!reflect.DeepEqual(opt.BestSeq, ref.BestSeq) || !reflect.DeepEqual(opt.Slices, ref.Slices) {
+					t.Errorf("%s: frontiers diverge: optimized cost=%d %d slices, reference cost=%d %d slices",
+						where(), opt.BestCost, len(opt.Slices), ref.BestCost, len(ref.Slices))
+				}
+				if !kernelStatsEqual(opt.Stats, ref.Stats) {
+					t.Errorf("%s: stats diverge\noptimized: %+v\nreference: %+v", where(), opt.Stats, ref.Stats)
+				}
+			}
+		}
+	}
 }

@@ -161,6 +161,10 @@ func TestParallelTinyInstanceSeedPathOnly(t *testing.T) {
 	if res.Cost != -5 || !res.Optimal {
 		t.Fatalf("cost %d optimal=%v, want -5/true", res.Cost, res.Optimal)
 	}
+	// The seeding pass did all the work; its counters must reach the total.
+	if st := res.Stats; st.Generated == 0 || st.Expanded == 0 || st.Goals == 0 {
+		t.Fatalf("seeding pass lost from Stats: generated=%d expanded=%d goals=%d", st.Generated, st.Expanded, st.Goals)
+	}
 }
 
 func TestParallelFixedUpperBoundFailure(t *testing.T) {

@@ -356,12 +356,14 @@ type Params struct {
 	// full ancestor-chain replay per expansion, a full-graph bound sweep
 	// per generated child, and one heap allocation per surviving child —
 	// instead of the optimized kernel (incremental materialization,
-	// cone-bounded bound re-propagation, arena vertex allocation). The two
-	// paths produce identical results: same Cost, Optimal/Guarantee flags
-	// and Stats counters, which the differential harness in
-	// internal/fuzzcheck enforces on every campaign. The flag exists as
-	// that harness's escape hatch and for before/after kernel benchmarks;
-	// production callers leave it false.
+	// cone-bounded bound re-propagation, arena vertex allocation). The
+	// expander shared by Solve, SolveParallel, SolveIDA and
+	// EnumerateFrontier is its one reader, so every driver honours it. The
+	// two paths produce identical results: same Cost, Optimal/Guarantee
+	// flags and Stats counters (and the same frontier slices), which the
+	// differential harness in internal/fuzzcheck enforces on every
+	// campaign. The flag exists as that harness's escape hatch and for
+	// before/after kernel benchmarks; production callers leave it false.
 	ReferenceKernel bool
 
 	// Observer, when non-nil, receives every search event (see events.go).

@@ -11,7 +11,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
-	"repro/internal/transpose"
 )
 
 // Stats records the search-effort quantities the paper reports, plus the
@@ -110,24 +109,13 @@ type Result struct {
 }
 
 type solver struct {
-	g    *taskgraph.Graph
-	plat platform.Platform
-	p    Params
-	ctx  context.Context
-
-	st  *sched.State
-	bnd *bounder
-	br  *brancher
+	*expander
+	ctx context.Context
 	as  activeSet
-	dom *domTable
-	tt  *transpose.Table // duplicate detection (Params.Dedup); nil when off
 
-	incCost  taskgraph.Time
-	incSeq   []sched.Placement // nil ⇒ incumbent is the EDF seed (or nothing)
-	edfInc   *sched.Schedule   // EDF-seeded incumbent schedule, if any
-	extBound taskgraph.Time    // best external cost seen via Link.Best
+	inc      incumbent
+	extBound taskgraph.Time // best external cost seen via Link.Best
 
-	seq           uint64
 	lost          bool // optimum potentially lost to resource bounds
 	provedByBound bool // terminated early because the incumbent met the global bound
 	canceled      bool // terminated early because the context was canceled
@@ -136,14 +124,6 @@ type solver struct {
 	popAgeSum float64
 	popAgeObs int64
 	deadline  time.Time
-	stats     Stats
-
-	// scratch
-	plBuf    []sched.Placement
-	readyBuf []taskgraph.TaskID
-	children []*vertex
-	chainBuf []*vertex
-	arena    vertexArena
 }
 
 // Solve runs the parametrized branch-and-bound algorithm of Figure 1 with
@@ -166,17 +146,11 @@ func SolveContext(ctx context.Context, g *taskgraph.Graph, plat platform.Platfor
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := p.Validate(); err != nil {
+	// Step 1–2: initialize the incumbent ("best vertex") with the
+	// upper-bound solution cost U.
+	inc, err := prepare(g, plat, p)
+	if err != nil {
 		return Result{}, err
-	}
-	if err := plat.ValidateFor(g.NumTasks()); err != nil {
-		return Result{}, err
-	}
-	if _, err := g.TopoOrder(); err != nil {
-		return Result{}, err
-	}
-	if g.NumTasks() == 0 {
-		return Result{}, fmt.Errorf("core: empty task graph")
 	}
 	if p.Dominance && g.NumTasks() > 63 {
 		return Result{}, fmt.Errorf("core: dominance rule supports at most 63 tasks, graph has %d", g.NumTasks())
@@ -185,43 +159,8 @@ func SolveContext(ctx context.Context, g *taskgraph.Graph, plat platform.Platfor
 		return Result{}, err
 	}
 
-	s := &solver{
-		g: g, plat: plat, p: p, ctx: ctx,
-		st:       sched.NewState(g, plat),
-		bnd:      newBounder(g, p.Bound),
-		br:       newBrancher(g, p.Branching),
-		as:       newActiveSet(p.Selection, p.LLBTie),
-		extBound: taskgraph.Infinity,
-	}
-	if p.Dominance {
-		s.dom = newDomTable(g.NumTasks())
-	}
-	if p.Dedup {
-		s.tt = dedupTable(p)
-		s.st.EnableSignature()
-	}
-
-	// Step 1–2: initialize the incumbent ("best vertex") with the
-	// upper-bound solution cost U.
-	switch p.UpperBound {
-	case UpperBoundEDF:
-		cost, schedule, err := edf.UpperBound(g, plat)
-		if err != nil {
-			return Result{}, err
-		}
-		s.incCost, s.edfInc = cost, schedule
-	case UpperBoundFixed:
-		s.incCost = p.FixedUpperBound
-	case UpperBoundSeeded:
-		seed := p.SeedSchedule
-		if !seed.Complete() || seed.Graph != g {
-			return Result{}, fmt.Errorf("core: seed schedule incomplete or over a different graph")
-		}
-		if err := seed.Check(); err != nil {
-			return Result{}, fmt.Errorf("core: invalid seed schedule: %w", err)
-		}
-		s.incCost, s.edfInc = seed.Lmax(), seed
-	}
+	s := &solver{ctx: ctx, as: newActiveSet(p.Selection, p.LLBTie), inc: inc, extBound: taskgraph.Infinity}
+	s.expander = newExpander(g, plat, p, dedupTable(p), s)
 
 	start := time.Now() //bbvet:ignore nondet (wall-clock only feeds Stats.Elapsed and the deadline)
 	if p.Resources.TimeLimit > 0 {
@@ -231,8 +170,26 @@ func SolveContext(ctx context.Context, g *taskgraph.Graph, plat platform.Platfor
 	s.arena.release() // the search tree is dead; drop its slabs wholesale
 	fillTableStats(&s.stats, s.tt)
 	s.stats.Elapsed = time.Since(start) //bbvet:ignore nondet (reporting only)
+	if s.popAgeObs > 0 {
+		s.stats.MeanPopAge = s.popAgeSum / float64(s.popAgeObs)
+	}
 
-	res, err := s.result()
+	var reason TermReason
+	switch {
+	case s.panicked != nil:
+		reason = TermPanic
+	case s.canceled:
+		reason = TermCanceled
+	case s.stats.TimedOut:
+		reason = TermTimeLimit
+	case s.provedByBound:
+		reason = TermGlobalBound
+	case s.lost:
+		reason = TermResourceLoss
+	default:
+		reason = TermExhausted
+	}
+	res, err := finish(g, plat, p, s.inc, reason, s.stats)
 	if err != nil {
 		return Result{}, err
 	}
@@ -242,11 +199,115 @@ func SolveContext(ctx context.Context, g *taskgraph.Graph, plat platform.Platfor
 	return res, nil
 }
 
+// incumbent is the best solution a run knows: its cost, the placement
+// sequence of the best goal the search adopted (nil while the seed still
+// stands), and the upper-bound seed schedule (nil under UpperBoundFixed).
+// Its driver methods are the plain sequential rules that EnumerateFrontier
+// and SolveIDA use directly and Solve extends.
+type incumbent struct {
+	cost taskgraph.Time
+	seq  []sched.Placement
+	seed *sched.Schedule
+	br   float64 // the BR allowance pruneLimit applies
+}
+
+func (inc *incumbent) pruneLimit() taskgraph.Time { return pruneLimitFor(inc.cost, inc.br) }
+
+func (inc *incumbent) incumbentCost() taskgraph.Time { return inc.cost }
+
+func (inc *incumbent) adopt(st *sched.State, cost taskgraph.Time) bool {
+	if cost >= inc.cost {
+		return false
+	}
+	inc.cost = cost
+	inc.seq = st.AppendPlacements(inc.seq[:0])
+	return true
+}
+
+// prepare runs the checks every driver shares — parameters, the platform
+// against the task count, acyclicity, a non-empty graph — and resolves the
+// upper-bound rule U into the initial incumbent. Each driver adds only its
+// own restrictions.
+func prepare(g *taskgraph.Graph, plat platform.Platform, p Params) (incumbent, error) {
+	if err := p.Validate(); err != nil {
+		return incumbent{}, err
+	}
+	if err := plat.ValidateFor(g.NumTasks()); err != nil {
+		return incumbent{}, err
+	}
+	if _, err := g.TopoOrder(); err != nil {
+		return incumbent{}, err
+	}
+	if g.NumTasks() == 0 {
+		return incumbent{}, fmt.Errorf("core: empty task graph")
+	}
+	inc := incumbent{br: p.BR}
+	switch p.UpperBound {
+	case UpperBoundEDF:
+		cost, schedule, err := edf.UpperBound(g, plat)
+		if err != nil {
+			return incumbent{}, err
+		}
+		inc.cost, inc.seed = cost, schedule
+	case UpperBoundFixed:
+		inc.cost = p.FixedUpperBound
+	case UpperBoundSeeded:
+		seed := p.SeedSchedule
+		if !seed.Complete() || seed.Graph != g {
+			return incumbent{}, fmt.Errorf("core: seed schedule incomplete or over a different graph")
+		}
+		if err := seed.Check(); err != nil {
+			return incumbent{}, fmt.Errorf("core: invalid seed schedule: %w", err)
+		}
+		inc.cost, inc.seed = seed.Lmax(), seed
+	}
+	return inc, nil
+}
+
+// finish assembles a driver's Result. A sequence the search adopted is
+// replayed on a fresh state — never the search's own, which a recovered
+// panic may have left mid-mutation — and must reproduce its recorded
+// cost; otherwise the seed stands. The proof flags follow from how the
+// run ended.
+func finish(g *taskgraph.Graph, plat platform.Platform, p Params, inc incumbent, reason TermReason, stats Stats) (Result, error) {
+	res := Result{Cost: taskgraph.Infinity, Reason: reason, Params: p, Stats: stats}
+	switch {
+	case inc.seq != nil:
+		fresh := sched.NewState(g, plat)
+		if err := fresh.Replay(inc.seq); err != nil {
+			return Result{}, fmt.Errorf("core: incumbent replay: %w", err)
+		}
+		res.Schedule = fresh.Snapshot()
+		res.Cost = fresh.Lmax()
+		if res.Cost != inc.cost {
+			return Result{}, fmt.Errorf("core: incumbent cost drift: recorded %d, replayed %d", inc.cost, res.Cost)
+		}
+	case inc.seed != nil:
+		res.Schedule = inc.seed
+		res.Cost = inc.cost
+	}
+
+	res.Guarantee = reason == TermExhausted && p.Branching.Exact() && res.Schedule != nil
+	res.Optimal = res.Guarantee && p.BR == 0
+	if reason == TermGlobalBound && res.Schedule != nil {
+		// The incumbent met a certified external lower bound: optimal by
+		// that certificate, regardless of how the search was cut short.
+		res.Optimal, res.Guarantee = true, true
+	}
+	if p.Prefix != nil || p.Link != nil {
+		// A subtree-restricted or externally coupled run proves nothing
+		// global on its own: exhaustion here means "no schedule extending
+		// the prefix beats min(local, external)". The coordinator that
+		// split the frontier assembles the global proof from every slice.
+		res.Optimal, res.Guarantee = false, false
+	}
+	return res, nil
+}
+
 // runRecovering executes the search, converting a panic anywhere inside it
 // into a recorded *PanicError so one poisoned instance cannot kill a fleet
 // of solver invocations. The scheduling state may be mid-mutation after a
-// panic; result() never touches it (the incumbent is replayed on a fresh
-// state), so salvaging the incumbent stays safe.
+// panic; finish never touches it, so salvaging the incumbent stays safe.
 func (s *solver) runRecovering() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -262,16 +323,11 @@ func (s *solver) runRecovering() {
 // cost (E_U/DBAS: prune when L(v) >= L(v_u)). A linked run prunes against
 // the best cost known anywhere — local incumbent or external broadcast.
 func (s *solver) pruneLimit() taskgraph.Time {
-	c := s.incCost
-	if s.extBound < c {
-		c = s.extBound
-	}
-	return pruneLimitFor(c, s.p.BR)
+	return pruneLimitFor(min(s.inc.cost, s.extBound), s.p.BR)
 }
 
-// pruneLimitFor applies the BR allowance to an incumbent cost. Shared by
-// the sequential solver and the frontier expansion so the two prune
-// identically.
+// pruneLimitFor applies the BR allowance to an incumbent cost: the one
+// elimination threshold every driver prunes with.
 func pruneLimitFor(c taskgraph.Time, br float64) taskgraph.Time {
 	if br == 0 || c >= taskgraph.Infinity/2 {
 		return c
@@ -281,6 +337,25 @@ func pruneLimitFor(c taskgraph.Time, br float64) taskgraph.Time {
 		abs = -abs
 	}
 	return c - taskgraph.Time(br*float64(abs))
+}
+
+func (s *solver) incumbentCost() taskgraph.Time { return s.inc.cost }
+
+// adopt installs the goal held by st as the new best solution when it
+// beats both the local incumbent and the external bound, and applies the
+// elimination rule E_U/DBAS to the active set. A linked run announces the
+// improvement immediately — adoption is gated on beating the external
+// bound too, so every publish is a strict global improvement as of the
+// last poll.
+func (s *solver) adopt(st *sched.State, cost taskgraph.Time) bool {
+	if cost >= s.extBound || !s.inc.adopt(st, cost) {
+		return false
+	}
+	s.stats.PrunedActive += int64(s.as.pruneAbove(s.pruneLimit()))
+	if l := s.p.Link; l != nil && l.Publish != nil {
+		l.Publish(cost, s.inc.seq)
+	}
+	return true
 }
 
 // pollLink refreshes the external bound from the incumbent exchange.
@@ -300,13 +375,11 @@ func (s *solver) run() {
 	// installed as a synthetic ancestor chain under the root: materialize
 	// replays it like any other chain, goal detection and placement
 	// reconstruction see the full schedule depth.
-	root := prefixChain(s.p.Prefix)
-	s.as.push(root)
+	s.as.push(prefixChain(s.p.Prefix))
 	s.pollLink()
 
-	n := int32(s.g.NumTasks())
 	for iter := 0; s.as.len() > 0; iter++ {
-		if s.p.UseGlobalBound && s.incCost <= s.p.GlobalLowerBound {
+		if s.p.UseGlobalBound && s.inc.cost <= s.p.GlobalLowerBound {
 			s.provedByBound = true
 			return
 		}
@@ -344,137 +417,18 @@ func (s *solver) run() {
 			continue
 		}
 
-		// Materialize the vertex's partial schedule: the reference kernel
-		// resets and replays the full ancestor chain, the optimized kernel
-		// diffs the chain against the state's current trail and touches
-		// only the divergent suffix.
-		if s.p.ReferenceKernel {
-			s.plBuf = v.placements(s.plBuf[:0])
-			if err := s.st.Replay(s.plBuf); err != nil {
-				panic(fmt.Errorf("core: vertex replay: %w", err)) // replay of our own placements cannot legally fail
-			}
-		} else {
-			s.chainBuf = materialize(s.st, v, s.chainBuf)
-		}
-		s.stats.Expanded++
-		if s.tt != nil {
-			// Store on expansion: from here on, this state's subtree is
-			// fully accounted for (explored, pruned against the incumbent
-			// allowance, or — with resource drops — flagged lossy), so any
-			// later arrival at the same canonical state is redundant.
-			lo, hi := s.st.Signature()
-			s.tt.Store(lo, hi, v.level, int64(v.lb))
-		}
-		var parentSeq uint64
-		if v.parent != nil {
-			parentSeq = v.parent.seq
-		}
-		s.emit(EventExpand, v.seq, parentSeq, v.task, v.proc, v.level, v.lb)
-
-		// Step 6–7: branch and bound the children. The optimized kernel
-		// bounds each child against the parent snapshot by the cone
-		// factorization — always exact, so events, LLB order, and child
-		// sorting cannot diverge from the reference kernel.
-		ref := s.p.ReferenceKernel
-		if !ref {
-			s.bnd.beginExpand(s.st)
-		}
-		s.children = s.children[:0]
-		s.readyBuf = s.br.tasks(s.st, s.readyBuf[:0])
-		for _, id := range s.readyBuf {
-			for q := 0; q < s.plat.M; q++ {
-				// Affinity-infeasible children are pruned at generation:
-				// they are never created, counted, or emitted. Universal
-				// affinity makes this loop the legacy one.
-				if !s.plat.Allows(id, platform.Proc(q)) {
-					continue
-				}
-				pl := s.st.Place(id, platform.Proc(q))
-				var lb taskgraph.Time
-				if ref {
-					lb = s.bnd.bound(s.st)
-				} else {
-					lb = s.bnd.boundChild(s.st, id)
-				}
-				s.stats.Generated++
-				s.seq++
-
-				if v.level+1 == n {
-					// Goal vertex: never enters AS (§3.1 variant) — it
-					// either becomes the incumbent or dies.
-					s.stats.Goals++
-					s.emit(EventGoal, s.seq, v.seq, id, platform.Proc(q), v.level+1, lb)
-					if lb < s.incCost && lb < s.extBound {
-						s.adoptIncumbent(lb)
-						s.emit(EventIncumbent, s.seq, v.seq, id, platform.Proc(q), v.level+1, lb)
-					}
-					s.st.Undo()
-					continue
-				}
-				if lb >= s.pruneLimit() {
-					s.stats.PrunedChildren++
-					s.emit(EventPrune, s.seq, v.seq, id, platform.Proc(q), v.level+1, lb)
-					s.st.Undo()
-					continue
-				}
-				if s.dom != nil && s.dom.dominated(s.st) {
-					s.stats.DominancePruned++
-					s.emit(EventDominated, s.seq, v.seq, id, platform.Proc(q), v.level+1, lb)
-					s.st.Undo()
-					continue
-				}
-				if s.tt != nil {
-					slo, shi := s.st.Signature()
-					if s.tt.Probe(slo, shi, v.level+1, int64(lb)) {
-						s.stats.DedupPruned++
-						s.emit(EventDuplicate, s.seq, v.seq, id, platform.Proc(q), v.level+1, lb)
-						s.st.Undo()
-						continue
-					}
-				}
-				var k *vertex
-				if ref {
-					k = &vertex{}
-				} else {
-					k = s.arena.alloc()
-				}
-				*k = vertex{
-					parent: v, lb: lb, start: pl.Start, finish: pl.Finish,
-					seq: s.seq, task: id, proc: platform.Proc(q), level: v.level + 1,
-				}
-				s.children = append(s.children, k)
-				s.emit(EventGenerate, s.seq, v.seq, id, platform.Proc(q), v.level+1, lb)
-				s.st.Undo()
-			}
-		}
-
-		// Step 8–9: eliminate (MAXSZDB) and move the survivors into AS.
-		s.insertChildren()
+		// Step 6–9: branch, bound and eliminate the children, then move
+		// the survivors into AS (MAXSZDB, ChildOrder, MAXSZAS).
+		s.insertChildren(s.expand(v))
 		if s.as.len() > s.stats.MaxActiveSet {
 			s.stats.MaxActiveSet = s.as.len()
 		}
 	}
 }
 
-// adoptIncumbent installs the goal at the current state as the new best
-// solution and applies the elimination rule E_U/DBAS to the active set.
-// A linked run announces the improvement immediately — adoption is gated
-// on beating the external bound too, so every publish is a strict global
-// improvement as of the last poll.
-func (s *solver) adoptIncumbent(cost taskgraph.Time) {
-	s.incCost = cost
-	s.incSeq = s.st.AppendPlacements(s.incSeq[:0])
-	s.stats.IncumbentUpdates++
-	s.stats.PrunedActive += int64(s.as.pruneAbove(s.pruneLimit()))
-	if l := s.p.Link; l != nil && l.Publish != nil {
-		l.Publish(cost, s.incSeq)
-	}
-}
-
 // insertChildren applies MAXSZDB, orders the surviving children per
 // ChildOrder, pushes them, and enforces MAXSZAS.
-func (s *solver) insertChildren() {
-	kids := s.children
+func (s *solver) insertChildren(kids []*vertex) {
 	if max := s.p.Resources.MaxChildren; max > 0 && len(kids) > max {
 		// Keep the most promising children.
 		sort.Slice(kids, func(i, j int) bool { return kids[i].lb < kids[j].lb })
@@ -485,19 +439,7 @@ func (s *solver) insertChildren() {
 		s.lost = true
 		kids = kids[:max]
 	}
-
-	switch {
-	case s.p.ChildOrder == ChildrenByLowerBound && s.p.Selection == SelectLIFO:
-		// Pop order = ascending lb ⇒ push descending.
-		sortChildrenByLB(kids, true)
-	case s.p.ChildOrder == ChildrenByLowerBound:
-		sortChildrenByLB(kids, false)
-	case s.p.Selection == SelectLIFO:
-		// Pop order = generation order ⇒ push reversed.
-		for i, j := 0, len(kids)-1; i < j; i, j = i+1, j-1 {
-			kids[i], kids[j] = kids[j], kids[i]
-		}
-	}
+	orderChildren(kids, s.p.Selection, s.p.ChildOrder)
 
 	maxAS := s.p.Resources.MaxActiveSet
 	for _, k := range kids {
@@ -514,6 +456,22 @@ func (s *solver) insertChildren() {
 			if dropped.lb < s.pruneLimit() {
 				s.lost = true
 			}
+		}
+	}
+}
+
+// orderChildren puts freshly generated children in insertion order per
+// ChildOrder. Under LIFO selection the child to be selected first must be
+// pushed last: descending lb, or generation order reversed.
+func orderChildren(kids []*vertex, sel SelectionRule, order ChildOrder) {
+	switch {
+	case order == ChildrenByLowerBound && sel == SelectLIFO:
+		sortChildrenByLB(kids, true)
+	case order == ChildrenByLowerBound:
+		sortChildrenByLB(kids, false)
+	case sel == SelectLIFO:
+		for i, j := 0, len(kids)-1; i < j; i, j = i+1, j-1 {
+			kids[i], kids[j] = kids[j], kids[i]
 		}
 	}
 }
@@ -537,60 +495,6 @@ func sortChildrenByLB(kids []*vertex, desc bool) {
 			kids[j-1], kids[j] = kids[j], kids[j-1]
 		}
 	}
-}
-
-func (s *solver) result() (Result, error) {
-	if s.popAgeObs > 0 {
-		s.stats.MeanPopAge = s.popAgeSum / float64(s.popAgeObs)
-	}
-	res := Result{Cost: taskgraph.Infinity, Params: s.p, Stats: s.stats}
-
-	switch {
-	case s.incSeq != nil:
-		fresh := sched.NewState(s.g, s.plat)
-		if err := fresh.Replay(s.incSeq); err != nil {
-			return Result{}, fmt.Errorf("core: incumbent replay: %w", err)
-		}
-		res.Schedule = fresh.Snapshot()
-		res.Cost = fresh.Lmax()
-		if res.Cost != s.incCost {
-			return Result{}, fmt.Errorf("core: incumbent cost drift: recorded %d, replayed %d", s.incCost, res.Cost)
-		}
-	case s.edfInc != nil:
-		res.Schedule = s.edfInc
-		res.Cost = s.incCost
-	}
-
-	switch {
-	case s.panicked != nil:
-		res.Reason = TermPanic
-	case s.canceled:
-		res.Reason = TermCanceled
-	case s.stats.TimedOut:
-		res.Reason = TermTimeLimit
-	case s.provedByBound:
-		res.Reason = TermGlobalBound
-	case s.lost:
-		res.Reason = TermResourceLoss
-	default:
-		res.Reason = TermExhausted
-	}
-	exhausted := res.Reason == TermExhausted
-	res.Guarantee = exhausted && s.p.Branching.Exact() && res.Schedule != nil
-	res.Optimal = res.Guarantee && s.p.BR == 0
-	if res.Reason == TermGlobalBound && res.Schedule != nil {
-		// The incumbent met a certified external lower bound: optimal by
-		// that certificate, regardless of how the search was cut short.
-		res.Optimal, res.Guarantee = true, true
-	}
-	if s.p.Prefix != nil || s.p.Link != nil {
-		// A subtree-restricted or externally coupled run proves nothing
-		// global on its own: exhaustion here means "no schedule extending
-		// the prefix beats min(local, external)". The coordinator that
-		// split the frontier assembles the global proof from every slice.
-		res.Optimal, res.Guarantee = false, false
-	}
-	return res, nil
 }
 
 // prefixChain builds the search root for a (possibly empty) prefix: the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -446,4 +447,44 @@ func TestPopLocalityProxy(t *testing.T) {
 	}
 	t.Logf("mean age at pop: LIFO %.1f vs LLB %.1f",
 		lifo.Stats.MeanPopAge, llb.Stats.MeanPopAge)
+}
+
+// TestShortAffinityTableRejected: every driver validates the platform
+// against the task count before building any search state, so an
+// affinity table shorter than the graph is a plain input error — never a
+// panic, and never a recovered *PanicError.
+func TestShortAffinityTableRejected(t *testing.T) {
+	g := taskgraph.Independent(4, 3)
+	plat := platform.New(2)
+	plat.Affinity = []uint64{1}
+	drivers := map[string]func(Params) error{
+		"Solve": func(p Params) error { _, err := Solve(g, plat, p); return err },
+		"SolveParallel": func(p Params) error {
+			_, err := SolveParallel(g, plat, ParallelParams{Params: p, Workers: 2})
+			return err
+		},
+		"SolveIDA":          func(p Params) error { _, err := SolveIDA(g, plat, p); return err },
+		"EnumerateFrontier": func(p Params) error { _, err := EnumerateFrontier(g, plat, p, 4); return err },
+	}
+	for name, run := range drivers {
+		for _, p := range []Params{
+			{UpperBound: UpperBoundEDF},
+			{UpperBound: UpperBoundFixed, FixedUpperBound: taskgraph.Infinity},
+		} {
+			var panicked interface{}
+			err := func() error {
+				defer func() { panicked = recover() }()
+				return run(p)
+			}()
+			var pe *PanicError
+			switch {
+			case panicked != nil:
+				t.Errorf("%s U=%v: panicked: %v", name, p.UpperBound, panicked)
+			case err == nil:
+				t.Errorf("%s U=%v: accepted 1 affinity mask for 4 tasks", name, p.UpperBound)
+			case errors.As(err, &pe):
+				t.Errorf("%s U=%v: returned a recovered panic, want a plain error: %v", name, p.UpperBound, err)
+			}
+		}
+	}
 }
