@@ -13,6 +13,7 @@
 //	-cache int        result-cache entries (default 4096; -1 disables)
 //	-budget dur       default per-request solve budget (default 5s)
 //	-max-budget dur   clamp for client-requested budgets (default 60s)
+//	-max-dedup-budget bytes  reject larger client dedup_budget values (default 256 MiB)
 //	-drain dur        shutdown grace period (default 30s)
 //	-distributed      act as a B&B fabric coordinator (see below)
 //	-frontier int     frontier slices per distributed solve (default 64)
@@ -81,6 +82,7 @@ func main() {
 		cache       = flag.Int("cache", 0, "result-cache entries (-1 disables)")
 		budget      = flag.Duration("budget", 0, "default per-request solve budget")
 		maxBudget   = flag.Duration("max-budget", 0, "clamp for client-requested budgets")
+		maxDedup    = flag.Int64("max-dedup-budget", 0, "reject client dedup_budget values above this many bytes (default 256 MiB)")
 		drain       = flag.Duration("drain", 30*time.Second, "shutdown grace period")
 		distributed = flag.Bool("distributed", false, "act as a distributed B&B coordinator")
 		frontier    = flag.Int("frontier", 0, "frontier slices per distributed solve (default 64)")
@@ -98,11 +100,12 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Workers:       *workers,
-		QueueDepth:    *queue,
-		CacheEntries:  *cache,
-		DefaultBudget: *budget,
-		MaxBudget:     *maxBudget,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		CacheEntries:   *cache,
+		DefaultBudget:  *budget,
+		MaxBudget:      *maxBudget,
+		MaxDedupBudget: *maxDedup,
 	}
 	if *verbose {
 		cfg.Logf = log.New(os.Stderr, "bbserved: ", log.LstdFlags).Printf

@@ -331,9 +331,11 @@ type Params struct {
 	// default) the kernel is event-identical to a run without the knob.
 	Dedup bool
 
-	// DedupBudget caps the transposition table's memory in bytes; 0 picks
-	// transpose.DefaultBudget (64 MiB). The table never allocates past the
-	// budget: beyond it, replacement (depth-preferred) evicts.
+	// DedupBudget is the ceiling of the transposition table's memory in
+	// bytes; 0 picks transpose.DefaultBudget (64 MiB). It is not allocated
+	// up front: the table starts at 64 KiB and doubles on demand, never
+	// past the budget. Only at that ceiling does replacement
+	// (depth-preferred) evict.
 	DedupBudget int64
 
 	// DedupTable, when non-nil, supplies the transposition table instead

@@ -309,3 +309,18 @@ func TestRejectsExternalDedupTable(t *testing.T) {
 		t.Fatal("expected rejection of an external DedupTable")
 	}
 }
+
+// TestDedupBudgetCap: the wire params and the fleet both refuse a table
+// budget above MaxDedupBudget; the table grows on demand, so an oversized
+// budget would otherwise surface only as a worker running out of memory.
+func TestDedupBudgetCap(t *testing.T) {
+	if _, err := (ParamsSpec{Dedup: true, DedupBudget: MaxDedupBudget}).Params(); err != nil {
+		t.Fatalf("budget at the cap rejected: %v", err)
+	}
+	if _, err := (ParamsSpec{Dedup: true, DedupBudget: MaxDedupBudget + 1}).Params(); err == nil {
+		t.Fatal("wire params over the cap accepted")
+	}
+	if err := checkDistributable(core.Params{Dedup: true, DedupBudget: MaxDedupBudget + 1}); err == nil {
+		t.Fatal("fleet accepted a solve over the cap")
+	}
+}

@@ -649,6 +649,8 @@ func checkDistributable(p core.Params) error {
 		return fmt.Errorf("dist: the reference kernel is a local differential-testing mode")
 	case p.DedupTable != nil:
 		return fmt.Errorf("dist: DedupTable is owned by the workers (set Dedup/DedupBudget only)")
+	case p.DedupBudget > MaxDedupBudget:
+		return fmt.Errorf("dist: dedup budget %d exceeds the limit %d", p.DedupBudget, MaxDedupBudget)
 	}
 	return nil
 }

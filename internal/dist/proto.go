@@ -41,6 +41,11 @@ type ParamsSpec struct {
 	DedupBudget int64 `json:"dedup_budget,omitempty"`
 }
 
+// MaxDedupBudget caps the per-worker table budget a solve may ask for,
+// 256 MiB. The table grows on demand up to its budget, so a larger budget
+// would not fail when the worker builds it but later, as memory runs out.
+const MaxDedupBudget = 256 << 20
+
 // Params decodes the wire names into solver parameters.
 func (s ParamsSpec) Params() (core.Params, error) {
 	var p core.Params
@@ -80,6 +85,9 @@ func (s ParamsSpec) Params() (core.Params, error) {
 	p.BR = s.BR
 	if s.DedupBudget < 0 {
 		return p, fmt.Errorf("dist: negative dedup budget %d", s.DedupBudget)
+	}
+	if s.DedupBudget > MaxDedupBudget {
+		return p, fmt.Errorf("dist: dedup budget %d exceeds the limit %d", s.DedupBudget, MaxDedupBudget)
 	}
 	if s.DedupBudget != 0 && !s.Dedup {
 		return p, fmt.Errorf("dist: dedup_budget without dedup")

@@ -408,6 +408,10 @@ func TestFirstReportWinsDedup(t *testing.T) {
 		if err := poster.post(ctx, "/dist/v1/join", JoinRequest{Name: "dup"}, &join); err != nil {
 			t.Fatal(err)
 		}
+		// Decode each lease into a zero value: a grant omits "none", so
+		// decoding it over an earlier None reply would keep None set and
+		// drop the granted slice.
+		lease = LeaseResponse{}
 		if err := poster.post(ctx, "/dist/v1/lease", LeaseRequest{WorkerID: join.WorkerID, Max: 1}, &lease); err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -93,6 +94,7 @@ type Node struct {
 	fillsGranted  atomic.Int64
 	fillBacksSent atomic.Int64
 	fillBacksRecv atomic.Int64
+	fillsInFlight atomic.Int64 // FillBack goroutines not yet finished
 	fetchErrors   atomic.Int64
 	flightWaits   atomic.Int64
 	ringRebuilds  atomic.Int64
@@ -311,9 +313,11 @@ func (n *Node) FillBack(owner, key string, body []byte) {
 		return
 	}
 	n.wg.Add(1)
+	n.fillsInFlight.Add(1)
 	n.mu.Unlock()
 	go func() {
 		defer n.wg.Done()
+		defer n.fillsInFlight.Add(-1)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		var resp PutResponse
@@ -327,6 +331,23 @@ func (n *Node) FillBack(owner, key string, body []byte) {
 		}
 		n.fillBacksSent.Add(1)
 	}()
+}
+
+// WaitFillBacks blocks until every FillBack started so far has finished
+// (landed at the owner or failed), or ctx ends. A caller that has seen
+// the responses of its solves can then rely on the owners holding the
+// bodies, e.g. before replaying the same keys against other replicas.
+func (n *Node) WaitFillBacks(ctx context.Context) error {
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for n.fillsInFlight.Load() > 0 {
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("grid: %d fill-backs still in flight: %w", n.fillsInFlight.Load(), ctx.Err())
+		case <-tick.C:
+		}
+	}
+	return nil
 }
 
 // ---- HTTP surface (the owner side) ----

@@ -73,7 +73,14 @@ func TestNodeFillGrantAndReadThrough(t *testing.T) {
 
 	want := []byte(`{"cost":42}`)
 	req.FillBack(ownerURL, key, want)
-	waitFor(t, "fill-back to land", func() bool { _, ok := store.Get(key); return ok })
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := req.WaitFillBacks(wctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := store.Get(key); !ok {
+		t.Fatal("WaitFillBacks returned before the fill-back landed")
+	}
 
 	body, found := req.Fetch(ctx, ownerURL, key)
 	if !found || !bytes.Equal(body, want) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -109,14 +110,18 @@ func GridSweep(cfg exp.Config) (exp.Figure, error) {
 
 	for j, replicas := range gridSweepReplicas {
 		for _, mode := range modes {
-			urls, stop, err := startSweepFleet(replicas, mode.peered)
+			urls, settle, stop, err := startSweepFleet(replicas, mode.peered)
 			if err != nil {
 				return exp.Figure{}, err
 			}
 			// Cold phase: job i hits replica i%R. Replay phase: the same
 			// job hits the next replica over, so at R>1 the serving
-			// replica never solved the key itself.
+			// replica never solved the key itself. The replay starts
+			// once every cold solve's fill-back has reached its owner.
 			cold, err := gridSweepPhase(urls, jobs, 0)
+			if err == nil {
+				err = settle()
+			}
 			if err == nil {
 				var warm map[string]*gridSweepAgg
 				warm, err = gridSweepPhase(urls, jobs, 1)
@@ -244,8 +249,9 @@ func gridSweepPhase(urls []string, jobs []gridSweepJob, rotate int) (map[string]
 
 // startSweepFleet stands up `replicas` in-process servers on loopback
 // listeners — peered through the cache grid or isolated — and returns
-// their base URLs plus a teardown closure.
-func startSweepFleet(replicas int, peered bool) ([]string, func(), error) {
+// their base URLs, a closure that waits (up to 10 s) for every
+// replica's fill-backs to land, and a teardown closure.
+func startSweepFleet(replicas int, peered bool) ([]string, func() error, func(), error) {
 	lns := make([]net.Listener, replicas)
 	urls := make([]string, replicas)
 	for i := range lns {
@@ -254,7 +260,7 @@ func startSweepFleet(replicas int, peered bool) ([]string, func(), error) {
 			for _, l := range lns[:i] {
 				_ = l.Close()
 			}
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		lns[i] = ln
 		urls[i] = "http://" + ln.Addr().String()
@@ -289,6 +295,19 @@ func startSweepFleet(replicas int, peered bool) ([]string, func(), error) {
 		}(hss[i], lns[i], dones[i])
 	}
 
+	settle := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		for _, n := range nodes {
+			if n == nil {
+				continue
+			}
+			if err := n.WaitFillBacks(ctx); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	stop := func() {
 		for i := range srvs {
 			_ = hss[i].Close()
@@ -299,5 +318,5 @@ func startSweepFleet(replicas int, peered bool) ([]string, func(), error) {
 			}
 		}
 	}
-	return urls, stop, nil
+	return urls, settle, stop, nil
 }

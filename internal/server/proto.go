@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/faults"
 	"repro/internal/hetero"
 	"repro/internal/listsched"
@@ -93,7 +94,8 @@ type SolveRequest struct {
 	Distributed bool `json:"distributed,omitempty"`
 	// Dedup enables duplicate detection (core.Params.Dedup): canonical
 	// state signatures plus a memory-bounded transposition table.
-	// DedupBudget caps the table bytes (0 = transpose.DefaultBudget).
+	// DedupBudget caps the table bytes (0 = transpose.DefaultBudget); the
+	// server rejects budgets above Config.MaxDedupBudget.
 	Dedup       bool  `json:"dedup,omitempty"`
 	DedupBudget int64 `json:"dedup_budget,omitempty"`
 }
@@ -122,7 +124,9 @@ func (r *SolveRequest) partitioned() (bool, error) {
 	return false, fmt.Errorf("unknown mode %q", r.Mode)
 }
 
-func (r *SolveRequest) params() (core.Params, error) {
+// params decodes the search knobs. maxDedup caps dedup_budget; a
+// distributed solve is also held to the fleet's own cap.
+func (r *SolveRequest) params(maxDedup int64) (core.Params, error) {
 	var p core.Params
 	switch r.Select {
 	case "", "lifo":
@@ -163,6 +167,13 @@ func (r *SolveRequest) params() (core.Params, error) {
 	}
 	if r.DedupBudget < 0 {
 		return p, fmt.Errorf("negative dedup_budget %d", r.DedupBudget)
+	}
+	if r.Distributed {
+		maxDedup = min(maxDedup, dist.MaxDedupBudget)
+	}
+	if r.DedupBudget > maxDedup {
+		return p, &fieldError{Code: "too_large", Field: "dedup_budget",
+			Detail: fmt.Sprintf("dedup_budget %d exceeds the limit %d", r.DedupBudget, maxDedup)}
 	}
 	if r.DedupBudget != 0 && !r.Dedup {
 		return p, fmt.Errorf("dedup_budget without dedup")
@@ -428,10 +439,21 @@ func parseListPolicy(name string) (listsched.Policy, bool, error) {
 	return 0, false, fmt.Errorf("unknown list policy %q", name)
 }
 
+// fieldError is a structured validation failure of one request field;
+// badRequest copies its Code and Field into the ErrorResponse.
+type fieldError struct {
+	Code   string // e.g. "too_large"
+	Field  string // the offending request field, e.g. "dedup_budget"
+	Detail string
+}
+
+func (e *fieldError) Error() string { return e.Detail }
+
 // ErrorResponse is the uniform error body. Code and Field are present only
-// for structured validation failures (malformed platform specs): Code
-// classifies the violation and Field names the offending request field, so
-// clients can attribute the 400 without parsing the message.
+// for structured validation failures (malformed platform specs, values
+// over a server limit): Code classifies the violation and Field names the
+// offending request field, so clients can attribute the 400 without
+// parsing the message.
 type ErrorResponse struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`

@@ -79,6 +79,12 @@ type Config struct {
 	DefaultBudget time.Duration
 	MaxBudget     time.Duration
 
+	// MaxDedupBudget rejects requests whose dedup_budget exceeds it with a
+	// structured 400 (default dist.MaxDedupBudget, 256 MiB). The table
+	// grows on demand up to the requested budget, so without a cap a huge
+	// budget would fail late, as the solve's memory grows.
+	MaxDedupBudget int64
+
 	// Fleet, when non-nil, turns this server into a distributed B&B
 	// coordinator: the /dist/v1/ worker API is mounted, solve requests
 	// with "distributed": true are sharded across the fleet's workers,
@@ -119,6 +125,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBudget <= 0 {
 		c.MaxBudget = 60 * time.Second
+	}
+	if c.MaxDedupBudget <= 0 {
+		c.MaxDedupBudget = dist.MaxDedupBudget
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -285,8 +294,12 @@ func (s *Server) badRequest(w http.ResponseWriter, m *endpointMetrics, start tim
 	m.latency.observe(time.Since(start))
 	resp := ErrorResponse{Error: err.Error()}
 	var spec *hetero.SpecError
-	if errors.As(err, &spec) {
+	var fe *fieldError
+	switch {
+	case errors.As(err, &spec):
 		resp.Code, resp.Field = spec.Code, spec.Field
+	case errors.As(err, &fe):
+		resp.Code, resp.Field = fe.Code, fe.Field
 	}
 	writeJSON(w, http.StatusBadRequest, resp)
 }
@@ -613,7 +626,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, m, start, err)
 		return
 	}
-	params, err := req.params()
+	params, err := req.params(s.cfg.MaxDedupBudget)
 	if err != nil {
 		s.badRequest(w, m, start, err)
 		return
@@ -696,7 +709,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.badRequest(w, m, start, fmt.Errorf("member %d: %w", i, err))
 			return
 		}
-		params, err := mr.params()
+		params, err := mr.params(s.cfg.MaxDedupBudget)
 		if err != nil {
 			s.badRequest(w, m, start, fmt.Errorf("member %d: %w", i, err))
 			return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/deadline"
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/listsched"
 	"repro/internal/platform"
@@ -794,5 +796,55 @@ func TestSolveDedupKnob(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("bad dedup request accepted: %d %s", resp.StatusCode, body)
 		}
+	}
+}
+
+// TestDedupBudgetCap: a dedup_budget above Config.MaxDedupBudget is a
+// structured 400 on /v1/solve and in a batch; one at the cap is served.
+// A distributed request is also held to the fleet's own cap.
+func TestDedupBudgetCap(t *testing.T) {
+	const limit = 1 << 20
+	s := New(Config{Workers: 2, DefaultBudget: 5 * time.Second, MaxDedupBudget: limit})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	g := testGraph(t, 7)
+	req := solveReq(g, 3, 5000)
+	req.Dedup = true
+	req.DedupBudget = limit
+	if resp, body := postJSON(t, ts.URL+"/v1/solve", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("budget at the cap: %d %s", resp.StatusCode, body)
+	}
+
+	over := req
+	over.DedupBudget = limit + 1
+	for _, tc := range []struct {
+		url string
+		req any
+	}{
+		{"/v1/solve", over},
+		{"/v1/batch", BatchRequest{Requests: []SolveRequest{req, over}}},
+	} {
+		resp, body := postJSON(t, ts.URL+tc.url, tc.req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s over the cap: status %d, want 400: %s", tc.url, resp.StatusCode, body)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatalf("%s: decode error body: %v", tc.url, err)
+		}
+		if er.Code != "too_large" || er.Field != "dedup_budget" || er.Error == "" {
+			t.Fatalf("%s: got %+v, want code too_large on field dedup_budget", tc.url, er)
+		}
+	}
+
+	if _, err := (&SolveRequest{Dedup: true, DedupBudget: dist.MaxDedupBudget + 1}).params(2 * dist.MaxDedupBudget); err != nil {
+		t.Fatalf("local solve under a raised server cap rejected: %v", err)
+	}
+	_, err := (&SolveRequest{Distributed: true, Dedup: true, DedupBudget: dist.MaxDedupBudget + 1}).params(2 * dist.MaxDedupBudget)
+	var fe *fieldError
+	if !errors.As(err, &fe) || fe.Code != "too_large" {
+		t.Fatalf("distributed request over the fleet cap: err %v, want too_large", err)
 	}
 }
